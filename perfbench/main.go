@@ -12,9 +12,14 @@
 //     republish every 256 events or 1 s, group-commit fsync to a real file)
 //     receives queries and ingests on a fixed schedule from one pacing
 //     goroutine; every request is timed from its due time;
-//  2. serve, closed loop: two issuers send queries back to back;
-//  3. simulation: cycles of ten delegation rounds and one transitivity sweep
-//     per registered trust model.
+//  2. serve, closed loop: one issuer sends fixed batches of queries;
+//  3. simulation, serial: cycles of ten delegation rounds and one
+//     transitivity sweep per registered trust model.
+//
+// Each end-to-end timing is a median over many timings of like work spread
+// over the run (query batches, rounds, sweeps), taken per world and
+// averaged over the run's worlds. The open loop's latencies, which the
+// host's other load moves far more than the program, are per-layer figures.
 //
 // Outside the measured window it replays the serving journal with
 // serve.Replay (every served value must reproduce bit-for-bit) and, for the
@@ -22,7 +27,7 @@
 //
 // Usage (from the repository root, through the wrapper that builds it):
 //
-//	python3 perfbench/run.py --workload serve-read --seed 1 --seconds 10 --trace 0
+//	python3 perfbench/run.py --workload small --seed 1 --seconds 30 --trace 0
 package main
 
 import (
@@ -40,49 +45,46 @@ import (
 	"siot/internal/socialgen"
 )
 
-// workload is one traffic mix over one served world and one simulated
+// workload is one traffic mix over one served world size and one simulated
 // population.
 type workload struct {
 	serveNodes int               // the served world: serve.Config{Nodes}
 	simProfile socialgen.Profile // the simulated population
 	queryQPS   float64           // open-loop query rate
 	ingestPS   float64           // open-loop ingest rate
-	openShare  float64           // share of the window for the open loop
-	satShare   float64           // share for the closed loop; the simulation gets the rest
-	// serveWorlds engines are served and simWorlds populations simulated
-	// in turn, each from its own seed derived from -seed; every build is a
-	// set-up repetition. Medians over several worlds keep one unusual world
-	// from setting a run's figures.
-	serveWorlds int
-	simWorlds   int
+	openShare  float64           // share of the window for the open loop; the simulation gets the rest
+	// serveWorlds engines are served and simWorlds populations built in
+	// turn, each from its own seed derived from -seed; every build is a
+	// set-up repetition. Pooling several worlds keeps one unusual world
+	// from setting a run's figures. The first playWorlds populations play
+	// the cycles.
+	serveWorlds           int
+	simWorlds, playWorlds int
 }
 
 // minCycles is how many simulation cycles each population plays even past
 // the window, so every sweep also runs once on a state the rounds evolved.
 const minCycles = 2
 
-// The workloads. Every workload prints every metric, so each also runs a
-// short phase of the other kind on a 10k world, where it is cheap and
-// steady. serve-write serves 50k nodes at 240 ingests/s: a served 100k
-// world (benchnet.Profile, 800k edges) builds an epoch in ~400 ms, which
-// keeps the writer half busy even at the 1 s timer's minimum cadence, and
-// above 256 ingests/s the count trigger adds a second republish most
-// seconds; either way the ack median flips between runs.
+// The workloads: one whose worlds fit in cache and one whose do not. Every
+// workload prints every metric, so each serves and simulates. small reads:
+// a 10k served world at 30k queries/s, where search and the journaled query
+// path do the work, and a 10k population. large writes and simulates the
+// paper's Net100k: a 50k served world at 240 ingests/s, where apply, fsync,
+// capture and memo do the work, and the 100k population, where capture,
+// memo and search dominate rounds and sweeps. A served 100k world (800k
+// edges) builds an epoch in ~400 ms and keeps the writer half busy even at
+// the 1 s timer's cadence, so large serves 50k.
 var workloads = map[string]workload{
-	"serve-read": {
+	"small": {
 		serveNodes: 10_000, simProfile: benchnet.Profile(10_000),
 		queryQPS: 30_000, ingestPS: 100,
-		openShare: 0.5, satShare: 0.05, serveWorlds: 3, simWorlds: 3,
+		openShare: 0.3, serveWorlds: 12, simWorlds: 3, playWorlds: 3,
 	},
-	"serve-write": {
-		serveNodes: 50_000, simProfile: benchnet.Profile(10_000),
+	"large": {
+		serveNodes: 50_000, simProfile: benchnet.Net100k(),
 		queryQPS: 5_000, ingestPS: 240,
-		openShare: 0.6, satShare: 0.1, serveWorlds: 4, simWorlds: 3,
-	},
-	"sim-100k": {
-		serveNodes: 10_000, simProfile: benchnet.Net100k(),
-		queryQPS: 30_000, ingestPS: 100,
-		openShare: 0.3, satShare: 0.075, serveWorlds: 3, simWorlds: 2,
+		openShare: 0.3, serveWorlds: 8, simWorlds: 2, playWorlds: 1,
 	},
 }
 
@@ -99,9 +101,9 @@ type report struct {
 }
 
 func main() {
-	name := flag.String("workload", "", "workload: serve-read, serve-write or sim-100k")
+	name := flag.String("workload", "", "workload: small or large")
 	seed := flag.Uint64("seed", pinnedSeed, "workload seed")
-	seconds := flag.Int("seconds", 20, "measured window in seconds")
+	seconds := flag.Int("seconds", 30, "measured window in seconds")
 	trace := flag.Int("trace", 0, "1 reports per-layer metrics from a traced run, 0 end-to-end metrics")
 	workdir := flag.String("workdir", ".bench_build", "directory for the journal and the trace")
 	flag.Parse()
@@ -181,15 +183,12 @@ func run(name string, w workload, seed uint64, window time.Duration, traced bool
 	}
 
 	openDur := time.Duration(float64(window) * w.openShare)
-	satDur := time.Duration(float64(window) * w.satShare)
-	simBudget := window - openDur - satDur
-
-	sv, err := runServe(w, seed, openDur, satDur, dir, tr)
+	sv, err := runServe(w, seed, openDur, dir, tr)
 	if err != nil {
 		return nil, fmt.Errorf("serve phase: %w", err)
 	}
 	runtime.GC()
-	sm, err := runSim(w, seed, simBudget, tr)
+	sm, err := runSim(w, seed, window-time.Since(base), tr)
 	if err != nil {
 		return nil, fmt.Errorf("simulation phase: %w", err)
 	}
@@ -222,9 +221,9 @@ func run(name string, w workload, seed uint64, window time.Duration, traced bool
 	check("simulation digest", checkDigest(name, seed, sm.digest))
 	digest, _ := json.Marshal(sm.digest)
 	fmt.Fprintf(os.Stderr, "perfbench: %s seed %d first-cycle digest %s\n", name, seed, digest)
-	fmt.Fprintf(os.Stderr, "perfbench: query mix neighbor %.4f, two-hop %.4f, random %.4f; %d open-loop and %d closed-loop queries, %d ingests, %d rounds, %d sweeps\n",
+	fmt.Fprintf(os.Stderr, "perfbench: query mix neighbor %.4f, two-hop %.4f, random %.4f; %d open-loop and %d batched queries, %d ingests, %d rounds, %d sweeps\n",
 		sv.shares[kindNeighbor], sv.shares[kindTwoHop], sv.shares[kindRandom],
-		sv.queries-sv.satQueries, sv.satQueries, sv.ingests, sm.rounds, sm.sweeps)
+		sv.queries-sv.batchQueries, sv.batchQueries, sv.ingests, sm.rounds, sm.sweeps)
 
 	if !traced {
 		endToEnd(rep.Metrics, sv, sm, rss)
@@ -245,8 +244,8 @@ func run(name string, w workload, seed uint64, window time.Duration, traced bool
 	rep.Metrics["trace.spans"] = metric{float64(len(tr.spans)), "count"}
 	rep.Metrics["trace.overhead_pct"] = metric{
 		100 * (float64(len(tr.spans))*spanCostNs() + float64(len(sv.trustSvcNs))*clockCostNs()) / windowNs, "%"}
-	rep.Metrics["trace.query_p50_us"] = metric{percentile(scaled(sv.queryLatNs, 1e-3), 0.5), "us"}
-	rep.Metrics["trace.round_ms"] = metric{median(durMs(sm.roundNs)), "ms"}
+	rep.Metrics["trace.query_us"] = metric{sv.batchNs.typical(1e-3 / batchSize), "us"}
+	rep.Metrics["trace.round_ms"] = metric{sm.roundNs.typical(1e-6), "ms"}
 	if err := writeTrace(filepath.Join(workdir, fmt.Sprintf("trace-%s-seed%d.json", name, seed)), tr, sv); err != nil {
 		return nil, err
 	}
@@ -261,12 +260,11 @@ func endToEnd(m map[string]metric, sv *serveResult, sm *simResult, rss float64) 
 	}
 	m["setup_s"] = metric{median(scaled(sv.setupNs, 1e-9)) + median(simSetup), "s"}
 	m["rss_peak_mb"] = metric{rss, "MB"}
-	m["query_p50_us"] = metric{percentile(scaled(sv.queryLatNs, 1e-3), 0.50), "us"}
 	m["visibility_p50_ms"] = metric{percentile(durMs(sv.visibilityNs), 0.50), "ms"}
-	m["query_throughput_qps"] = metric{median(sv.satRates), "1/s"}
-	m["round_ms"] = metric{median(durMs(sm.roundNs)), "ms"}
+	m["query_us"] = metric{sv.batchNs.typical(1e-3 / batchSize), "us"}
+	m["round_ms"] = metric{sm.roundNs.typical(1e-6), "ms"}
 	for _, name := range sweepModels {
-		m["sweep_ms."+name] = metric{median(durMs(sm.sweepNs[name])), "ms"}
+		m["sweep_ms."+name] = metric{sm.sweepNs[name].typical(1e-6), "ms"}
 	}
 }
 
@@ -284,10 +282,11 @@ func perLayer(m map[string]metric, sv *serveResult, sm *simResult, gc gcWindow, 
 		m["core.search_ms."+name] = metric{median(durMs(sm.searchNs[name])), "ms"}
 		m["core.inquired."+name] = metric{float64(sm.inquired[name]), "count"}
 	}
-	// The open-loop tails are set by how the scheduler shares two processors
-	// while an epoch builds, and the ack median by the latency of one fsync
-	// on the host's disk; both vary between runs far beyond any usable
-	// bound, so they are reported here, unbounded.
+	// The open-loop latencies are set by how the scheduler shares the host's
+	// processors, and the ack median by the latency of one fsync on the
+	// host's disk; all vary between runs far beyond any usable bound, so
+	// they are reported here, unbounded.
+	m["serve.query_p50_us"] = metric{percentile(scaled(sv.queryLatNs, 1e-3), 0.50), "us"}
 	m["serve.query_p99_us"] = metric{percentile(scaled(sv.queryLatNs, 1e-3), 0.99), "us"}
 	m["serve.ingest_ack_p50_ms"] = metric{percentile(durMs(sv.ackLatNs), 0.50), "ms"}
 	m["serve.ingest_ack_p99_ms"] = metric{percentile(durMs(sv.ackLatNs), 0.99), "ms"}

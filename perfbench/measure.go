@@ -52,6 +52,24 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
+// perWorld holds timings of like work, one list per world it ran on.
+type perWorld [][]int64
+
+// typical is a run's figure for repeated timings of like work, scaled by k:
+// each world's median, averaged over the worlds, so that every world counts
+// alike however many timings it gave. It is NaN when no world has a timing.
+func (p perWorld) typical(k float64) float64 {
+	var sum float64
+	n := 0
+	for _, w := range p {
+		if len(w) > 0 {
+			sum += median(scaled(w, k))
+			n++
+		}
+	}
+	return sum / float64(n)
+}
+
 // durMs converts nanosecond durations to milliseconds.
 func durMs(ns []int64) []float64 { return scaled(ns, 1e-6) }
 

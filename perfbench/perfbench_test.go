@@ -64,6 +64,18 @@ func TestPercentileKnownInputs(t *testing.T) {
 	}
 }
 
+func TestPerWorldTypical(t *testing.T) {
+	// World medians 2000 and 5000 ns; the empty world is skipped, so a
+	// world that gave no timings does not pull the mean down.
+	p := perWorld{{3000, 1000, 2000}, {}, {4000, 6000}}
+	if got := p.typical(1e-3); got != 3.5 {
+		t.Errorf("typical = %v µs, want 3.5", got)
+	}
+	if got := (perWorld{{}}).typical(1); !math.IsNaN(got) {
+		t.Errorf("typical of no timings = %v, want NaN", got)
+	}
+}
+
 func TestSpanSelfTimeAndRemainder(t *testing.T) {
 	// sweep [0,100) holds capture [0,20) and memo [20,50), memo holds
 	// train [25,45); search [50,90) is a sibling of sweep's children.
@@ -165,7 +177,7 @@ func sameMetrics(t *testing.T, label string, got map[string]metric, want map[str
 // exactly the ones BENCHMARK.json declares.
 func TestSmokeWorkloads(t *testing.T) {
 	e2e, perLayer, names := benchmarkJSON(t)
-	if !slices.Equal(names, []string{"serve-read", "serve-write", "sim-100k"}) || len(names) != len(workloads) {
+	if !slices.Equal(names, []string{"small", "large"}) || len(names) != len(workloads) {
 		t.Fatalf("BENCHMARK.json workloads %v, harness has %v", names, workloadNames())
 	}
 	for _, name := range names {
@@ -234,7 +246,7 @@ func tamperQuery(t *testing.T, path string) {
 
 func TestReplayCatchesTamperedLine(t *testing.T) {
 	dir := t.TempDir()
-	sv, err := runServe(tiny(workloads["serve-write"]), unpinnedSeed, time.Second, 200*time.Millisecond, dir, nil)
+	sv, err := runServe(tiny(workloads["large"]), unpinnedSeed, time.Second, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +292,7 @@ func TestDigestCheck(t *testing.T) {
 
 // rssWorkload is the workload TestPeakRSSNotInherited runs at a size.
 func rssWorkload(size string) workload {
-	w := tiny(workloads["serve-read"])
+	w := tiny(workloads["small"])
 	nodes := map[string]int{"large": 10_000, "small": 500}[size]
 	w.serveNodes, w.simProfile = nodes, benchnet.Profile(nodes)
 	return w
@@ -290,7 +302,7 @@ func rssWorkload(size string) workload {
 // process, the way run.py runs the harness.
 func TestMain(m *testing.M) {
 	if size := os.Getenv("PERFBENCH_RSS_CHILD"); size != "" {
-		rep, err := run("serve-read", rssWorkload(size), unpinnedSeed, 3*time.Second, false, os.Getenv("PERFBENCH_RSS_DIR"))
+		rep, err := run("small", rssWorkload(size), unpinnedSeed, 3*time.Second, false, os.Getenv("PERFBENCH_RSS_DIR"))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

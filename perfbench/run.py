@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload serve-read --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload small --seed 1 --seconds 30 --trace 0
 
 The harness is a Go program in its own module (perfbench/go.mod), which
 builds against the repository's module through a local replace. Build

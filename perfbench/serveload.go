@@ -188,12 +188,12 @@ type serveResult struct {
 	setupNs []int64
 
 	queries, ingests, failed int
-	queryLatNs               []int64   // open loop, from due time
-	ackLatNs                 []int64   // acknowledged ingests, from due time
-	satRates                 []float64 // closed-loop queries per second, per satSlice
+	queryLatNs               []int64  // open loop, from due time
+	ackLatNs                 []int64  // acknowledged ingests, from due time
+	batchNs                  perWorld // closed loop, one per batch of batchSize queries
 	visibilityNs             []int64
 	lagNs                    []int64
-	satQueries               int
+	batchQueries             int
 	journals                 []journalRun
 	openEpochs, shed         uint64 // epochs published during the open loops; events shed
 	openNs                   int64  // total open-loop time
@@ -215,16 +215,25 @@ type serveResult struct {
 // run's own seed.
 func worldSeed(seed uint64, k int) uint64 { return seed ^ uint64(k)<<32 }
 
+// openWorlds is how many of a run's served worlds take the open loop.
+const openWorlds = 3
+
 // runServe serves w.serveWorlds worlds in turn, each built with serve.New
-// (timed as set-up), driven by the open loop for its share of openDur and
-// by the closed loop for its share of satDur, then closed. Pooling several
-// worlds keeps one unusual world from setting a run's figures. The journals
-// are left in dir for the replay check.
-func runServe(w workload, seed uint64, openDur, satDur time.Duration, dir string, tr *track) (*serveResult, error) {
+// (timed as set-up) and sent the closed-loop query batches; the first
+// openWorlds are then driven by the open loop for their share of openDur.
+// Every world is then closed. Batches on many worlds keep one unusual
+// world from setting the query figure; open loops on a few leave each long
+// enough for several republishes. The journals are left in dir for the
+// replay check.
+func runServe(w workload, seed uint64, openDur time.Duration, dir string, tr *track) (*serveResult, error) {
 	res := &serveResult{}
-	k := time.Duration(w.serveWorlds)
+	open := min(openWorlds, w.serveWorlds)
 	for i := range w.serveWorlds {
-		if err := res.serveWorld(w, worldSeed(seed, i), i, openDur/k, satDur/k, dir, tr); err != nil {
+		var d time.Duration
+		if i < open {
+			d = openDur / time.Duration(open)
+		}
+		if err := res.serveWorld(w, worldSeed(seed, i), i, d, dir, tr); err != nil {
 			return nil, err
 		}
 		runtime.GC()
@@ -232,7 +241,7 @@ func runServe(w workload, seed uint64, openDur, satDur time.Duration, dir string
 	return res, nil
 }
 
-func (res *serveResult) serveWorld(w workload, seed uint64, idx int, openDur, satDur time.Duration, dir string, tr *track) error {
+func (res *serveResult) serveWorld(w workload, seed uint64, idx int, openDur time.Duration, dir string, tr *track) error {
 	jr := journalRun{path: fmt.Sprintf("%s/journal-%d.jsonl", dir, idx)}
 	jf, err := os.Create(jr.path)
 	if err != nil {
@@ -252,28 +261,28 @@ func (res *serveResult) serveWorld(w workload, seed uint64, idx int, openDur, sa
 	types := len(eng.TaskTypes())
 	qs := genQueries(r, eng, types, int(w.queryQPS*openDur.Seconds()))
 	evs := genEvents(r, eng, types, int(w.ingestPS*openDur.Seconds()))
-	satQs := genQueries(r, eng, types, 1<<16)
+	batchQs := genQueries(r, eng, types, batchSize*batchCount)
 	traced := tr != nil
 	first := idx == 0
 	if first {
 		res.shares = kindShares(eng, qs)
 	}
 
+	// The batches run first, while the engine serves its initial epoch and
+	// the writer has nothing to apply or publish.
 	runtime.GC()
 	g0 := gcNow()
-	e0 := eng.Stats().Epochs
-	served := res.openLoop(eng, qs, evs, openDur, traced)
-	res.openEpochs += eng.Stats().Epochs - e0
-	res.openNs += int64(openDur)
-	gc := g0.to(gcNow())
-	// Let the writer publish the open loop's last events before the closed
-	// loop starts, so a republish does not land in one run's saturation
-	// window and not another's.
-	quiesce(eng)
-	runtime.GC()
-	g0 = gcNow()
-	n := res.saturate(eng, satQs, satDur)
-	res.gc = res.gc.plus(gc.plus(g0.to(gcNow())))
+	sp = tr.begin("serve.Engine.Trust.batches")
+	n := res.batches(eng, batchQs)
+	tr.end(sp)
+	var served []serve.TrustResult
+	if openDur > 0 {
+		e0 := eng.Stats().Epochs
+		served = res.openLoop(eng, qs, evs, openDur, traced)
+		res.openEpochs += eng.Stats().Epochs - e0
+		res.openNs += int64(openDur)
+	}
+	res.gc = res.gc.plus(g0.to(gcNow()))
 
 	st := eng.Stats()
 	res.shed += st.ShedTotal
@@ -443,76 +452,38 @@ func visibility(acks []ackRec, qdone []int64, qepoch []uint64) []int64 {
 	return out
 }
 
-// quiesce waits until the events of the open loop are applied and an epoch
-// was published after the last of them, or until a republish interval and
-// one epoch build have passed without one (the last epoch already covered
-// them, so the timer has nothing to publish).
-func quiesce(eng *serve.Engine) {
-	deadline := time.Now().Add(1600 * time.Millisecond)
-	st := eng.Stats()
-	applied, epochs := st.Applied, st.Epochs
-	for time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-		st = eng.Stats()
-		if st.Applied != applied {
-			applied, epochs = st.Applied, st.Epochs
-			continue
-		}
-		if st.Applied == st.Ingested && st.Epochs > epochs {
-			return
-		}
-	}
-}
+// The closed loop: batchCount batches of batchSize queries per served world.
+// A batch is a unit of like work timed as a whole. The count is fixed
+// rather than timed because every query is journaled and replayed after the
+// window.
+const (
+	batchSize  = 1024
+	batchCount = 16
+)
 
-// satSlice is the width of the slices the closed-loop rate is counted in.
-const satSlice = 100 * time.Millisecond
-
-// saturate runs two closed-loop query issuers (one on a single processor)
-// for dur, records the completed-query rate of every whole satSlice, and
-// returns how many queries they completed.
-func (res *serveResult) saturate(eng *serve.Engine, qs []query, dur time.Duration) int {
-	issuers := min(2, workerCount())
-	slices := int(dur / satSlice)
-	counts := make([][]int64, issuers)
-	var wg sync.WaitGroup
-	var nerr atomic.Int64
-	start := time.Now()
-	for w := range issuers {
-		counts[w] = make([]int64, slices+1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var failed int64
-			for i := w; ; i += issuers {
-				el := time.Since(start)
-				if el >= dur {
-					break
-				}
-				q := qs[i%len(qs)]
-				if _, err := eng.Trust(q.trustor, q.trustee, q.typ); err != nil {
-					failed++
-				}
-				counts[w][min(int(el/satSlice), slices)]++
+// batches sends qs from one issuer, back to back in batches of batchSize,
+// records each batch's time and returns how many queries it sent.
+func (res *serveResult) batches(eng *serve.Engine, qs []query) int {
+	var failed int
+	res.batchNs = append(res.batchNs, nil)
+	w := len(res.batchNs) - 1
+	for b := 0; b+batchSize <= len(qs); b += batchSize {
+		start := time.Now()
+		for _, q := range qs[b : b+batchSize] {
+			if _, err := eng.Trust(q.trustor, q.trustee, q.typ); err != nil {
+				failed++
 			}
-			nerr.Add(failed)
-		}()
-	}
-	wg.Wait()
-	var n int64
-	for k := range slices + 1 {
-		var c int64
-		for w := range issuers {
-			c += counts[w][k]
 		}
-		n += c
-		if k < slices {
-			res.satRates = append(res.satRates, float64(c)/satSlice.Seconds())
-		}
+		res.batchNs[w] = append(res.batchNs[w], time.Since(start).Nanoseconds())
 	}
-	res.satQueries += int(n)
-	res.queries += int(n)
-	res.failed += int(nerr.Load())
-	return int(n)
+	n := len(qs) / batchSize * batchSize
+	res.batchQueries += n
+	res.queries += n
+	res.failed += failed
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "perfbench: %d batch queries failed\n", failed)
+	}
+	return n
 }
 
 // searchOnIdenticalWorld rebuilds the engine's initial world through the
@@ -526,7 +497,7 @@ func (res *serveResult) searchOnIdenticalWorld(w workload, seed uint64, qs []que
 	net := socialgen.Generate(benchnet.Profile(w.serveNodes), seed)
 	pcfg := sim.DefaultPopulationConfig(seed)
 	pcfg.Theta = 0.3
-	workers := workerCount()
+	workers := runtime.GOMAXPROCS(0) // serve.Config.Workers' default
 	pcfg.Parallelism = workers
 	pop := sim.NewPopulation(net, pcfg)
 	setup := sim.DefaultTransitivitySetup(5, pop.Rand("serve-setup"))

@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"siot/internal/core"
@@ -35,7 +33,12 @@ func checkModels() error {
 	return nil
 }
 
-func workerCount() int { return runtime.GOMAXPROCS(0) }
+// simWorkers is the worker-pool width of the simulated populations: the
+// simulation runs serially. Its results are bit-identical at every width,
+// and one worker is what keeps its timings steady on a shared host of a few
+// processors, where a second worker contends with the runtime and with
+// whatever else the host runs.
+const simWorkers = 1
 
 // sweepDigest is the model-level outcome of one sweep that the correctness
 // check pins.
@@ -65,8 +68,8 @@ func digestOf(st sim.TransitivityStats) sweepDigest {
 // simResult holds what the simulation phase measured.
 type simResult struct {
 	generateNs, populateNs, seedNs []int64 // one per set-up repetition
-	roundNs                        []int64
-	sweepNs                        map[string][]int64
+	roundNs                        perWorld
+	sweepNs                        map[string]perWorld
 	rounds, sweeps                 int
 	digest                         simDigest
 	gc                             gcWindow
@@ -82,9 +85,16 @@ type simResult struct {
 	decompErr   error // the harness's searches disagree with a sweep
 }
 
+// universeSeed draws the task universe, the same for every seed: the ten
+// task types are part of the workload, like the query mix. A universe drawn
+// from each seed changed how much a sweep searches by up to 2x between
+// seeds on one 10k network (conservative: 152k to 304k nodes inquired),
+// while the network and population seeds move it by a few percent.
+const universeSeed = 1
+
 // buildPopulation is the benchmark population of a profile and seed:
 // generate the network, populate it, seed transitivity experience (the
-// benchnet recipe, at the workload's seed).
+// benchnet recipe, at the workload's seed, over the fixed task universe).
 func buildPopulation(profile socialgen.Profile, seed uint64, res *simResult, tr *track) (*sim.Population, sim.TransitivitySetup) {
 	sp := tr.begin("socialgen.Generate")
 	start := time.Now()
@@ -94,8 +104,10 @@ func buildPopulation(profile socialgen.Profile, seed uint64, res *simResult, tr 
 
 	sp = tr.begin("sim.NewPopulation")
 	start = time.Now()
-	p := sim.NewPopulation(net, sim.DefaultPopulationConfig(seed))
-	setup := sim.DefaultTransitivitySetup(5, p.Rand("bench-rounds"))
+	cfg := sim.DefaultPopulationConfig(seed)
+	cfg.Parallelism = simWorkers
+	p := sim.NewPopulation(net, cfg)
+	setup := sim.DefaultTransitivitySetup(5, rng.New(universeSeed, "perfbench-universe"))
 	setup.MaxDepth = 3
 	res.populateNs = append(res.populateNs, time.Since(start).Nanoseconds())
 	tr.end(sp)
@@ -108,16 +120,16 @@ func buildPopulation(profile socialgen.Profile, seed uint64, res *simResult, tr 
 	return p, setup
 }
 
-// runSim plays the simulation over w.simWorlds populations in turn: each is
-// built (timed as set-up) and then plays cycles of {roundsPerCycle
-// mutuality rounds; one sweep per model} until its share of budget is spent
-// and at least minCycles ran. The traced run also times each layer of a
-// round and a sweep on the same state.
+// runSim builds w.simWorlds populations in turn (each timed as set-up); the
+// first w.playWorlds then play cycles of {roundsPerCycle mutuality rounds;
+// one sweep per model} until their share of budget is spent and at least
+// minCycles ran. The traced run also times each layer of a round and a
+// sweep on the same state.
 func runSim(w workload, seed uint64, budget time.Duration, tr *track) (*simResult, error) {
 	if err := checkModels(); err != nil {
 		return nil, err
 	}
-	res := &simResult{sweepNs: map[string][]int64{}}
+	res := &simResult{sweepNs: map[string]perWorld{}}
 	if tr != nil {
 		res.memoNs = map[string][]int64{}
 		res.searchNs = map[string][]int64{}
@@ -128,20 +140,27 @@ func runSim(w workload, seed uint64, budget time.Duration, tr *track) (*simResul
 		runtime.GC()
 		ws := worldSeed(seed, i)
 		pop, setup := buildPopulation(w.simProfile, ws, res, tr)
+		if i >= w.playWorlds {
+			continue
+		}
 		runtime.GC()
 		g0 := gcNow()
-		res.cycles(pop, setup, ws, budget/time.Duration(w.simWorlds), i == 0, tr)
+		res.roundNs = append(res.roundNs, nil)
+		for _, name := range sweepModels {
+			res.sweepNs[name] = append(res.sweepNs[name], nil)
+		}
+		res.cycles(pop, setup, ws, budget/time.Duration(w.playWorlds), i, tr)
 		res.gc = res.gc.plus(g0.to(gcNow()))
 	}
 	return res, nil
 }
 
 // cycles plays simulation cycles on one population.
-func (res *simResult) cycles(pop *sim.Population, setup sim.TransitivitySetup, seed uint64, budget time.Duration, first bool, tr *track) {
+func (res *simResult) cycles(pop *sim.Population, setup sim.TransitivitySetup, seed uint64, budget time.Duration, world int, tr *track) {
 	traced := tr != nil
-	eng := &sim.Engine{Pop: pop, Label: "perfbench"}
+	first := world == 0
+	eng := &sim.Engine{Pop: pop, Label: "perfbench", Parallelism: simWorkers}
 	tk := task.Uniform(1, task.CharCompute)
-	workers := workerCount()
 	pool := core.NewArenaPool()
 	models := make([]core.TrustModel, len(sweepModels))
 	for i, name := range sweepModels {
@@ -155,7 +174,7 @@ func (res *simResult) cycles(pop *sim.Population, setup sim.TransitivitySetup, s
 			var capNs int64
 			if traced {
 				sp := tr.begin("sim.Population.RoundView")
-				v := pop.RoundView(workers, pool)
+				v := pop.RoundView(simWorkers, pool)
 				capNs = int64(tr.end(sp))
 				res.captureNs = append(res.captureNs, capNs)
 				res.viewRecords = viewRecords(v.TrustView)
@@ -166,7 +185,7 @@ func (res *simResult) cycles(pop *sim.Population, setup sim.TransitivitySetup, s
 			eng.MutualityRound(round, tk, &c)
 			ns := time.Since(t0).Nanoseconds()
 			tr.end(sp)
-			res.roundNs = append(res.roundNs, ns)
+			res.roundNs[world] = append(res.roundNs[world], ns)
 			if traced {
 				res.roundRestNs = append(res.roundRestNs, remainder(ns, capNs))
 			}
@@ -184,7 +203,7 @@ func (res *simResult) cycles(pop *sim.Population, setup sim.TransitivitySetup, s
 			st := eng.TransitivityRunModel(setup, m, sweepSeed)
 			ns := time.Since(t0).Nanoseconds()
 			tr.end(sp)
-			res.sweepNs[name] = append(res.sweepNs[name], ns)
+			res.sweepNs[name][world] = append(res.sweepNs[name][world], ns)
 			res.sweeps++
 			d := digestOf(st)
 			if first && cycle == 0 {
@@ -205,16 +224,15 @@ func (res *simResult) cycles(pop *sim.Population, setup sim.TransitivitySetup, s
 // harness's own searches inquire and find exactly what the sweep reported.
 func (res *simResult) decomposeSweep(pop *sim.Population, setup sim.TransitivitySetup, m core.TrustModel, seed uint64, sweepNs int64, want sweepDigest, pool *core.ArenaPool, tr *track) error {
 	name := m.Name()
-	workers := workerCount()
 
 	sp := tr.begin("core.capture." + name)
-	view := pop.RoundView(workers, pool)
+	view := pop.RoundView(simWorkers, pool)
 	capNs := int64(tr.end(sp))
 	defer view.Release()
 	res.captureNs = append(res.captureNs, capNs)
 
 	sp = tr.begin("core.memo." + name)
-	memo := core.NewEdgeMemoPooled(view.TrustView, pop.Config().Update.Norm, workers, pool)
+	memo := core.NewEdgeMemoPooled(view.TrustView, pop.Config().Update.Norm, simWorkers, pool)
 	memo.RequireModel(m, setup.Universe.Tasks)
 	memoNs := int64(tr.end(sp))
 	defer memo.Release()
@@ -226,39 +244,18 @@ func (res *simResult) decomposeSweep(pop *sim.Population, setup sim.Transitivity
 		tasks[i] = setup.Universe.Random(taskRng)
 	}
 	s := pop.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
-	inquired := make([]int, workers)
-	found := make([]int, workers)
+	var inq, pot int
+	var sr core.SearchResult
 	sp = tr.begin("core.search." + name)
-	// Trustors are handed out one at a time, as the sweep's own worker pool
-	// does, so the two fan-outs balance alike.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wk := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sr core.SearchResult
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				s.FindViewModelInto(&sr, view.TrustView, memo, pop.Trustors[i], tasks[i], m)
-				inquired[wk] += sr.Inquired
-				found[wk] += len(sr.Candidates)
-			}
-		}()
+	for i, t := range tasks {
+		s.FindViewModelInto(&sr, view.TrustView, memo, pop.Trustors[i], t, m)
+		inq += sr.Inquired
+		pot += len(sr.Candidates)
 	}
-	wg.Wait()
 	searchNs := int64(tr.end(sp))
 	res.searchNs[name] = append(res.searchNs[name], searchNs)
 	res.sweepRestNs[name] = append(res.sweepRestNs[name], remainder(sweepNs, capNs, memoNs, searchNs))
 
-	var inq, pot int
-	for wk := range workers {
-		inq += inquired[wk]
-		pot += found[wk]
-	}
 	if _, seen := res.inquired[name]; !seen {
 		res.inquired[name] = inq
 	}
