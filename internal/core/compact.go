@@ -76,21 +76,3 @@ func InferFromCompact(tasks []task.Task, recs []CompactRecord, t task.Task, n No
 	}
 	return total, true
 }
-
-// hopTWCompact is Searcher.hopTW over compact records: one hop under
-// traditional or conservative rules, reading the frozen arena.
-func (s *Searcher) hopTWCompact(tasks []task.Task, recs []CompactRecord, t task.Task, p Policy) (float64, bool) {
-	if len(recs) == 0 {
-		return 0, false
-	}
-	if p == PolicyTraditional {
-		typ := t.Type()
-		for _, r := range recs {
-			if tasks[r.Ref].Type() == typ {
-				return r.TW(s.Norm), true
-			}
-		}
-		return 0, false
-	}
-	return InferFromCompact(tasks, recs, t, s.Norm)
-}

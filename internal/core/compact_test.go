@@ -41,7 +41,8 @@ func buildCompactFixture(seed uint64, nRecs int) *compactFixture {
 // TestCompactMatchesFatReference pins the acceptance contract of the compact
 // arena form: every trust computation over CompactRecord slices —
 // per-characteristic averaging (eq. 4's inner fraction), full inference
-// (eqs. 2–4), the per-hop search value, and the binary search — returns
+// (eqs. 2–4), the single-path policy adapters' HopTW against the live
+// search's hopTW, and the binary search — returns
 // results bit-identical to the fat-Record reference implementation it
 // replaced. The floats flow through the same expressions; only the task
 // resolution differs.
@@ -60,6 +61,7 @@ func TestCompactMatchesFatReference(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		for size := 0; size <= 5; size++ {
 			f := buildCompactFixture(seed, size)
+			ctx := HopContext{Tasks: f.tasks, Norm: norm}
 			for _, c := range chars {
 				fatV, fatOK := CharTW(f.fat, c, norm)
 				cmpV, cmpOK := CharTWCompact(f.tasks, f.compact, c, norm)
@@ -77,10 +79,10 @@ func TestCompactMatchesFatReference(t *testing.T) {
 				}
 				for _, p := range []Policy{PolicyTraditional, PolicyConservative} {
 					fatV, fatOK := s.hopTW(f.fat, tk, p)
-					cmpV, cmpOK := s.hopTWCompact(f.tasks, f.compact, tk, p)
+					cmpV, cmpOK := p.Model().HopTW(ctx, f.compact, tk)
 					if fatV != cmpV || fatOK != cmpOK {
-						t.Fatalf("seed %d size %d: hopTW(task %d, %s) compact (%v, %v) != fat (%v, %v)",
-							seed, size, tk.Type(), p, cmpV, cmpOK, fatV, fatOK)
+						t.Fatalf("seed %d size %d: %s adapter HopTW(task %d) (%v, %v) != fat hopTW (%v, %v)",
+							seed, size, p, tk.Type(), cmpV, cmpOK, fatV, fatOK)
 					}
 				}
 				fatI, fatOK := searchRecord(f.fat, tk.Type())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -8,16 +9,19 @@ import (
 	"siot/internal/task"
 )
 
-// This file is the frozen-epoch counterpart of the map-based search in
-// transit.go: the same BFS, rewritten over dense generation-stamped arrays
-// indexed by agent slot and fed by a TrustView (and optionally an EdgeMemo).
-// transit.go's map path remains the reference implementation — the
-// equivalence tests in sim assert byte-identical SearchResults between the
-// two on randomized populations.
+// This file is the frozen-epoch trust search every sweep, served query, and
+// experiment runs: the BFS of transit.go's map-based Find, rewritten over
+// dense generation-stamped arrays indexed by agent slot and fed by a
+// TrustView (and optionally an EdgeMemo), for any TrustModel. One entry
+// point, FindViewModelInto, picks between two searches from the model's
+// spec: the single-path search (findModelView) and the per-characteristic
+// search (findAggressiveView). The live-store Find remains the reference
+// implementation — the equivalence tests in sim assert byte-identical
+// SearchResults between the two on randomized populations.
 
 // frontSet is one BFS frontier as a dense value array plus the ordered ID
 // list that replaces sorting map keys: IDs are appended on first discovery
-// and sorted once per depth, so iteration order matches the legacy
+// and sorted once per depth, so iteration order matches the live search's
 // appendSortedIDs order exactly.
 type frontSet struct {
 	stamp []uint32
@@ -50,11 +54,11 @@ func (f *frontSet) add(v AgentID, val float64) {
 	}
 }
 
-// denseState is the pooled scratch state of one FindView call. Membership of
-// every set (inquired, best, frontiers, per-characteristic bests) is encoded
-// as a generation stamp, so "clearing" a set is a counter increment instead
-// of an O(n) wipe, and a warmed pool entry serves any number of searches
-// without allocating.
+// denseState is the pooled scratch state of one FindViewModelInto call.
+// Membership of every set (inquired, best, frontiers, per-characteristic
+// bests) is encoded as a generation stamp, so "clearing" a set is a counter
+// increment instead of an O(n) wipe, and a warmed pool entry serves any
+// number of searches without allocating.
 type denseState struct {
 	stamp    uint32
 	inqStamp []uint32
@@ -81,7 +85,7 @@ type denseState struct {
 
 var densePool = sync.Pool{New: func() any { return &denseState{} }}
 
-// stampHeadroom bounds the stamps one FindView call can consume: two
+// stampHeadroom bounds the stamps one search can consume: two
 // singleton sets plus, per characteristic layer, a best set and one frontier
 // set per depth. 1<<16 covers any plausible depth × alphabet product.
 const stampHeadroom = 1 << 16
@@ -141,38 +145,76 @@ func (st *denseState) markInquired(v AgentID) {
 	}
 }
 
-// FindView is Find over a frozen TrustView: the same search semantics and
-// bit-identical results, reading captured CSR memory instead of live locked
-// stores. memo may be nil, in which case hop values are computed from the
-// view's record arena per hop (lock-free but unmemoized); with a Required
-// EdgeMemo every hop is a single array lookup.
+// FindViewModelInto is Find over a frozen TrustView for any TrustModel,
+// writing into res and reusing res.Candidates' capacity so a caller that
+// recycles results allocates nothing after warmup. Search semantics and
+// results are bit-identical to the live-store Find for the policy
+// adapters, reading captured CSR memory instead of live locked stores.
 //
-// FindView is safe for concurrent use: the view and memo are read-only and
-// each call draws its scratch state from a pool.
-func (s *Searcher) FindView(view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, p Policy) SearchResult {
-	var res SearchResult
-	s.FindViewInto(&res, view, memo, trustor, t, p)
-	return res
-}
-
-// FindViewInto is FindView writing into res, reusing res.Candidates'
-// capacity so a caller that recycles results allocates nothing after
-// warmup.
-func (s *Searcher) FindViewInto(res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, p Policy) {
+// The model's spec picks the search: PerCharacteristic models run the
+// per-characteristic propagation over CharTW hops, every other model the
+// single-path search over its hop values. memo may be nil, in which case
+// hop values are computed from the view's record arena per hop (lock-free
+// but unmemoized); after EdgeMemo.RequireModel every hop is a single array
+// lookup. An EpochTrainable model must be trained through RequireModel
+// first.
+//
+// FindViewModelInto is safe for concurrent use: the view and memo are
+// read-only and each call draws its scratch state from a pool.
+func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, m TrustModel) {
 	st := acquireDense(view.NumAgents())
-	switch p {
-	case PolicyAggressive:
+	if spec := m.Spec(); spec.PerCharacteristic {
 		s.findAggressiveView(res, view, memo, trustor, t, st)
-	default:
-		s.findSerialView(res, view, memo.typeTable(p, t), trustor, t, p, st)
+	} else {
+		s.findModelView(res, view, memo, trustor, t, m, spec, st)
 	}
 	densePool.Put(st)
 }
 
-// findSerialView runs the single-path policies (traditional, conservative)
-// over the view. vals, when non-nil, is the memoized per-edge hop table.
-func (s *Searcher) findSerialView(res *SearchResult, view *TrustView, vals []float64, trustor AgentID, t task.Task, p Policy, st *denseState) {
-	traditional := p == PolicyTraditional
+// modelHopSource resolves, once per search, how hops are evaluated for a
+// model over a view: the memoized per-edge table when RequireModel built
+// one for this exact task, else the trained scorer for EpochTrainable
+// models, else the model's evidence-local HopTW.
+type modelHopSource struct {
+	vals   []float64
+	scorer EdgeScorer
+	model  TrustModel
+	ctx    HopContext
+}
+
+func resolveModelHops(view *TrustView, memo *EdgeMemo, m TrustModel, t task.Task, norm Normalizer) modelHopSource {
+	src := modelHopSource{model: m, ctx: HopContext{Tasks: view.tasks, Norm: norm}}
+	if memo != nil {
+		src.vals = memo.modelTable(m, t)
+		if src.vals != nil {
+			return src
+		}
+		src.scorer = memo.modelScorer[m.Name()]
+	}
+	if src.scorer == nil {
+		if _, trainable := m.(EpochTrainable); trainable {
+			panic(fmt.Sprintf("core: model %q is epoch-trainable but untrained (call EdgeMemo.RequireModel first)", m.Name()))
+		}
+	}
+	return src
+}
+
+// hop evaluates edge e without a memo table.
+func (src *modelHopSource) hop(view *TrustView, e int32, t task.Task) (float64, bool) {
+	if src.scorer != nil {
+		return src.scorer.EdgeTW(view, e, t)
+	}
+	return src.model.HopTW(src.ctx, view.EdgeRecords(e), t)
+}
+
+// findModelView runs the single-path search: a dense BFS whose combine rule
+// and ω gating come from the model's spec. The traditional adapter
+// (product, ungated) is eq. 5; the conservative adapter (mistrust, gated)
+// is eqs. 8–11.
+func (s *Searcher) findModelView(res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, m TrustModel, spec ModelSpec, st *denseState) {
+	src := resolveModelHops(view, memo, m, t, s.Norm)
+	vals := src.vals
+	product := spec.Combine == CombineProduct
 	st.inqCur = st.nextStamp()
 	st.inqCount = 0
 	st.bestCur = st.nextStamp()
@@ -197,19 +239,23 @@ func (s *Searcher) findSerialView(res *SearchResult, view *TrustView, vals []flo
 					hop = vals[int(base)+k]
 					ok = !math.IsNaN(hop)
 				} else {
-					hop, ok = s.hopTWCompact(view.tasks, view.EdgeRecords(base+int32(k)), t, p)
+					hop, ok = src.hop(view, base+int32(k), t)
 				}
 				if !ok {
 					continue
 				}
 				st.markInquired(v)
 				var val float64
-				if traditional {
+				if product {
 					val = uval * hop
 				} else {
 					val = CombinePair(uval, hop)
 				}
-				if s.passTrustee(p, hop) && s.isCandidate(v) {
+				passTrustee, passRecommender := hop > 0, hop > 0
+				if spec.OmegaGated {
+					passTrustee, passRecommender = hop >= s.Omega2, hop >= s.Omega1
+				}
+				if passTrustee && s.isCandidate(v) {
 					if st.bestStamp[v] != st.bestCur {
 						st.bestStamp[v] = st.bestCur
 						st.bestVal[v] = val
@@ -218,7 +264,7 @@ func (s *Searcher) findSerialView(res *SearchResult, view *TrustView, vals []flo
 						st.bestVal[v] = val
 					}
 				}
-				if relay && s.passRecommender(p, hop) {
+				if relay && passRecommender {
 					nxt.add(v, val)
 				}
 			}
@@ -297,7 +343,7 @@ func (s *Searcher) findAggressiveView(res *SearchResult, view *TrustView, memo *
 	// Combine per-characteristic estimates with the task weights (eq. 17),
 	// requiring full coverage (eq. 12); ω2 applies to the task-level value
 	// (eq. 11). Iterating characteristic 0's discovery list visits exactly
-	// the keys the legacy path's perChar[0] map holds.
+	// the keys the live search's perChar[0] map holds.
 	weights := t.Weights()
 	res.Candidates = res.Candidates[:0]
 	for _, v := range st.char0IDs {

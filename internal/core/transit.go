@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -79,22 +78,6 @@ func (p Policy) String() string {
 		return "aggressive"
 	default:
 		return "unknown"
-	}
-}
-
-// ParsePolicy is the inverse of Policy.String: it resolves the method name
-// used in the paper's figures (and in every CLI -policy flag and journal
-// header) back to the Policy constant.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "traditional":
-		return PolicyTraditional, nil
-	case "conservative":
-		return PolicyConservative, nil
-	case "aggressive":
-		return PolicyAggressive, nil
-	default:
-		return 0, fmt.Errorf("core: unknown policy %q (want traditional, conservative, or aggressive)", s)
 	}
 }
 

@@ -211,48 +211,47 @@ var blocked = math.NaN()
 // EdgeMemo caches per-edge hop trustworthiness over a TrustView for one
 // sweep. A transitivity sweep fires one independent BFS per trustor over the
 // same frozen stores, so the hop value of edge (u, v) — which depends only
-// on the edge's records and the (task, policy) pair — is recomputed up to
+// on the edge's records and the (task, model) pair — is recomputed up to
 // N-trustors times on the live path. The memo computes each needed table
 // once, in a parallel pre-pass over the CSR edges, turning the BFS inner
 // loop into a single array lookup.
 //
-// Tables are keyed by task type (traditional, conservative) or by
-// characteristic (aggressive; per-characteristic values are shared by every
-// task containing the characteristic). Require must be called before the
-// parallel search phase; afterwards all lookups are pure reads and safe for
-// concurrent use.
+// Tables are keyed by model and task (single-path models) or by
+// characteristic (per-characteristic models: CharTW values are shared by
+// every task containing the characteristic). RequireModel must be called
+// before the parallel search phase; afterwards all lookups are pure reads
+// and safe for concurrent use.
 type EdgeMemo struct {
 	view    *TrustView
 	norm    Normalizer
 	workers int
 	pool    *ArenaPool // table source, nil when tables are allocated fresh
-	// tradVal[t][e] is the exact-type record trustworthiness of edge e
-	// (eq. 5's per-hop value); blocked when the edge has no record of t.
-	// The traditional hop depends on the task only through its type, so
-	// the type alone is a sound key.
-	tradVal map[task.Type][]float64
-	// consVal[t][e] is the conservative inferred hop value of edge e
-	// (eqs. 8–10); blocked when the edge's records do not cover the task.
-	// The inferred value depends on the task's full characteristic/weight
-	// set, not just its type, so consTask remembers which task each table
-	// was built for and typeTable declines to serve a same-type task with
-	// different contents (the search then computes hops from the arena —
-	// slower but correct).
-	consVal  map[task.Type][]float64
-	consTask map[task.Type]task.Task
 	// charVal[c][e] is CharTW of edge e for one characteristic (the inner
 	// fraction of eq. 4); blocked when no record covers the characteristic.
 	charVal map[task.Characteristic][]float64
-	// modelVal[name][t][e] is the hop value of edge e under a registered
-	// non-policy TrustModel, keyed like consVal by the full task each table
-	// was built for (modelTask); policy adapters use the legacy tables
-	// above. Lazily allocated — a policy-only sweep never creates them.
-	modelVal  map[string]map[task.Type][]float64
-	modelTask map[string]map[task.Type]task.Task
+	// modelVal[{model, type}] holds the hop value of every edge under a
+	// single-path model (blocked when the hop is not admissible), together
+	// with the full task the table was built for: a model's hop may depend
+	// on the task's whole characteristic/weight set, so modelTable declines
+	// to serve a same-type task with different contents (the search then
+	// computes hops from the arena — slower but identical).
+	modelVal map[modelKey]modelTab
 	// modelScorer caches the per-epoch trained state of EpochTrainable
 	// models, keyed by model name: training runs once per (epoch, model)
 	// in RequireModel, and the scorer dies with the memo.
 	modelScorer map[string]EdgeScorer
+}
+
+// modelKey keys a single-path model's hop table.
+type modelKey struct {
+	model string
+	typ   task.Type
+}
+
+// modelTab is one hop table and the task it was built for.
+type modelTab struct {
+	t    task.Task
+	vals []float64
 }
 
 // NewEdgeMemo creates an empty memo over a view. workers bounds the
@@ -266,152 +265,91 @@ func NewEdgeMemo(view *TrustView, norm Normalizer, workers int) *EdgeMemo {
 // memo goes stale.
 func NewEdgeMemoPooled(view *TrustView, norm Normalizer, workers int, pool *ArenaPool) *EdgeMemo {
 	return &EdgeMemo{
-		view:     view,
-		norm:     norm,
-		workers:  workers,
-		pool:     pool,
-		tradVal:  make(map[task.Type][]float64),
-		consVal:  make(map[task.Type][]float64),
-		consTask: make(map[task.Type]task.Task),
-		charVal:  make(map[task.Characteristic][]float64),
+		view:        view,
+		norm:        norm,
+		workers:     workers,
+		pool:        pool,
+		charVal:     make(map[task.Characteristic][]float64),
+		modelVal:    make(map[modelKey]modelTab),
+		modelScorer: make(map[string]EdgeScorer),
 	}
 }
 
 // Release returns every built hop table to the memo's pool and empties the
 // memo. It must not run concurrently with searches; after Release the memo
-// is reusable (Require rebuilds tables on demand) but any table slice
+// is reusable (RequireModel rebuilds tables on demand) but any table slice
 // previously handed out is invalid.
 func (m *EdgeMemo) Release() {
-	for t, vals := range m.tradVal {
-		m.pool.putTable(vals)
-		delete(m.tradVal, t)
-	}
-	for t, vals := range m.consVal {
-		m.pool.putTable(vals)
-		delete(m.consVal, t)
-		delete(m.consTask, t)
-	}
 	for c, vals := range m.charVal {
 		m.pool.putTable(vals)
 		delete(m.charVal, c)
 	}
-	for name, byType := range m.modelVal {
-		for t, vals := range byType {
-			m.pool.putTable(vals)
-			delete(byType, t)
-		}
-		delete(m.modelVal, name)
-		delete(m.modelTask, name)
+	for k, tab := range m.modelVal {
+		m.pool.putTable(tab.vals)
+		delete(m.modelVal, k)
 	}
-	for name := range m.modelScorer {
-		delete(m.modelScorer, name)
-	}
+	clear(m.modelScorer)
 }
 
 // Reset empties the memo and retargets it at a freshly captured view: every
-// table is released to the pool (so the next Require recomputes into the
-// same arenas) and subsequent lookups read the new view. Use after the
+// table is released to the pool (so the next RequireModel recomputes into
+// the same arenas) and subsequent lookups read the new view. Use after the
 // underlying stores mutated and the epoch re-captured.
 func (m *EdgeMemo) Reset(view *TrustView) {
 	m.Release()
 	m.view = view
 }
 
-// Require precomputes every table the given policy needs to search for the
-// given tasks: per-type tables for traditional and conservative, per-
-// characteristic tables for aggressive. It must not run concurrently with
-// searches; tables already present are reused (an epoch can Require for
-// several policies in turn and share the work where semantics overlap).
-// Requiring a task already covered is free, so a sharded sweep can Require
+// RequireModel precomputes every table the model needs to search for the
+// given tasks: per-characteristic CharTW tables for PerCharacteristic
+// models, otherwise one per-task hop table built from the model's HopTW —
+// or, for EpochTrainable models, from a scorer trained once per epoch and
+// cached on the memo. It must not run concurrently with searches; tables
+// already present are reused (an epoch can require several models in turn
+// and share the per-characteristic work), so a sharded sweep can require
 // per shard without rebuilding.
-func (m *EdgeMemo) Require(p Policy, tasks []task.Task) {
+func (m *EdgeMemo) RequireModel(mdl TrustModel, tasks []task.Task) {
 	cat := m.view.tasks
-	switch p {
-	case PolicyTraditional:
-		for _, t := range tasks {
-			if _, ok := m.tradVal[t.Type()]; ok {
-				continue
-			}
-			typ := t.Type()
-			m.tradVal[typ] = m.table(func(recs []CompactRecord) (float64, bool) {
-				for _, r := range recs {
-					if cat[r.Ref].Type() == typ {
-						return r.TW(m.norm), true
-					}
-				}
-				return 0, false
-			})
-		}
-	case PolicyConservative:
-		for _, t := range tasks {
-			if prev, ok := m.consTask[t.Type()]; ok && prev.Equal(t) {
-				continue
-			}
-			t := t
-			m.consVal[t.Type()] = m.table(func(recs []CompactRecord) (float64, bool) {
-				return InferFromCompact(cat, recs, t, m.norm)
-			})
-			m.consTask[t.Type()] = t
-		}
-	case PolicyAggressive:
+	if mdl.Spec().PerCharacteristic {
 		for _, t := range tasks {
 			for _, c := range t.Characteristics() {
 				if _, ok := m.charVal[c]; ok {
 					continue
 				}
-				c := c
-				m.charVal[c] = m.table(func(recs []CompactRecord) (float64, bool) {
-					return CharTWCompact(cat, recs, c, m.norm)
+				m.charVal[c] = m.tableEdge(func(e int32) (float64, bool) {
+					return CharTWCompact(cat, m.view.EdgeRecords(e), c, m.norm)
 				})
 			}
 		}
-	}
-}
-
-// RequireModel is Require dispatching through a TrustModel: policy
-// adapters route to the legacy per-policy tables (bit-identical to the
-// pre-interface path), every other model gets per-type hop tables built
-// from its HopTW — or, for EpochTrainable models, from a scorer trained
-// once per epoch and cached on the memo. Like Require it must not run
-// concurrently with searches, and requiring covered tasks is free.
-func (m *EdgeMemo) RequireModel(mdl TrustModel, tasks []task.Task) {
-	if p, ok := modelPolicy(mdl); ok {
-		m.Require(p, tasks)
 		return
 	}
 	name := mdl.Name()
 	scorer := m.trainModel(mdl)
-	if m.modelVal == nil {
-		m.modelVal = make(map[string]map[task.Type][]float64)
-		m.modelTask = make(map[string]map[task.Type]task.Task)
-	}
-	byType := m.modelVal[name]
-	taskOf := m.modelTask[name]
-	if byType == nil {
-		byType = make(map[task.Type][]float64)
-		taskOf = make(map[task.Type]task.Task)
-		m.modelVal[name] = byType
-		m.modelTask[name] = taskOf
-	}
-	ctx := HopContext{Tasks: m.view.tasks, Norm: m.norm}
+	ctx := HopContext{Tasks: cat, Norm: m.norm}
 	for _, t := range tasks {
-		if prev, ok := taskOf[t.Type()]; ok && prev.Equal(t) {
+		k := modelKey{name, t.Type()}
+		prev, ok := m.modelVal[k]
+		if ok && prev.t.Equal(t) {
 			continue
 		}
-		t := t
-		if old, ok := byType[t.Type()]; ok {
-			m.pool.putTable(old)
+		if ok {
+			m.pool.putTable(prev.vals)
 		}
+		var vals []float64
 		if scorer != nil {
-			byType[t.Type()] = m.tableEdge(func(e int32) (float64, bool) {
+			vals = m.tableEdge(func(e int32) (float64, bool) {
 				return scorer.EdgeTW(m.view, e, t)
 			})
 		} else {
-			byType[t.Type()] = m.tableEdge(func(e int32) (float64, bool) {
-				return mdl.HopTW(ctx, m.view.EdgeRecords(e), t)
+			vals = m.tableEdge(func(e int32) (float64, bool) {
+				recs := m.view.EdgeRecords(e)
+				if len(recs) == 0 {
+					return 0, false // HopTW never admits empty evidence
+				}
+				return mdl.HopTW(ctx, recs, t)
 			})
 		}
-		taskOf[t.Type()] = t
+		m.modelVal[k] = modelTab{t: t, vals: vals}
 	}
 }
 
@@ -427,9 +365,6 @@ func (m *EdgeMemo) trainModel(mdl TrustModel) EdgeScorer {
 		return sc
 	}
 	sc := tr.TrainEpoch(m.view, m.norm, m.workers)
-	if m.modelScorer == nil {
-		m.modelScorer = make(map[string]EdgeScorer)
-	}
 	m.modelScorer[mdl.Name()] = sc
 	return sc
 }
@@ -442,14 +377,11 @@ func (m *EdgeMemo) modelTable(mdl TrustModel, t task.Task) []float64 {
 	if m == nil {
 		return nil
 	}
-	byType := m.modelVal[mdl.Name()]
-	if byType == nil {
+	tab, ok := m.modelVal[modelKey{mdl.Name(), t.Type()}]
+	if !ok || !tab.t.Equal(t) {
 		return nil
 	}
-	if prev, ok := m.modelTask[mdl.Name()][t.Type()]; !ok || !prev.Equal(t) {
-		return nil
-	}
-	return byType[t.Type()]
+	return tab.vals
 }
 
 // ModelEdgeTW scores one directed view edge through a model — the
@@ -472,22 +404,6 @@ func (m *EdgeMemo) ModelEdgeTW(mdl TrustModel, e int32, t task.Task) (float64, b
 	return mdl.HopTW(HopContext{Tasks: m.view.tasks, Norm: m.norm}, m.view.EdgeRecords(e), t)
 }
 
-// typeTable returns the per-edge hop table for (t, p), or nil when Require
-// has not built it (the search then falls back to computing hops from the
-// arena records, which is still lock-free and bit-identical).
-func (m *EdgeMemo) typeTable(p Policy, t task.Task) []float64 {
-	if m == nil {
-		return nil
-	}
-	if p == PolicyTraditional {
-		return m.tradVal[t.Type()]
-	}
-	if prev, ok := m.consTask[t.Type()]; !ok || !prev.Equal(t) {
-		return nil
-	}
-	return m.consVal[t.Type()]
-}
-
 // charTable returns the per-edge CharTW table for c, or nil when absent.
 func (m *EdgeMemo) charTable(c task.Characteristic) []float64 {
 	if m == nil {
@@ -496,15 +412,7 @@ func (m *EdgeMemo) charTable(c task.Characteristic) []float64 {
 	return m.charVal[c]
 }
 
-// table evaluates compute over every edge's records in parallel chunks.
-func (m *EdgeMemo) table(compute func(recs []CompactRecord) (float64, bool)) []float64 {
-	return m.tableEdge(func(e int32) (float64, bool) {
-		return compute(m.view.EdgeRecords(e))
-	})
-}
-
-// tableEdge is table for computations that need the edge index itself
-// (trained scorers) rather than just the edge's records.
+// tableEdge evaluates compute over every edge in parallel chunks.
 func (m *EdgeMemo) tableEdge(compute func(e int32) (float64, bool)) []float64 {
 	ne := m.view.NumEdges()
 	vals := m.pool.GetTable(ne)

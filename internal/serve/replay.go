@@ -52,22 +52,22 @@ func replayHeader(s *journalScanner) (Config, error) {
 		return Config{}, fmt.Errorf("journal starts with %q, want header", line.Kind)
 	}
 	h := *line.Header
-	var mdl core.TrustModel
+	var name string
 	switch h.Version {
 	case prevJournalVersion:
-		policy, err := core.ParsePolicy(h.Policy)
-		if err != nil {
-			return Config{}, fmt.Errorf("%w: %v", ErrJournalModel, err)
-		}
-		mdl = policy.Model()
+		name = h.Policy
 	case journalVersion:
-		mdl, err = core.ParseModel(h.Model)
-		if err != nil {
-			return Config{}, fmt.Errorf("%w: %v", ErrJournalModel, err)
-		}
+		name = h.Model
 	default:
 		return Config{}, fmt.Errorf("%w: %d (want %d or %d)",
 			ErrJournalVersion, h.Version, prevJournalVersion, journalVersion)
+	}
+	mdl, err := core.ParseModel(name)
+	if err != nil {
+		return Config{}, fmt.Errorf("%w: %v", ErrJournalModel, err)
+	}
+	if h.Version == prevJournalVersion && !core.IsPolicyModel(mdl) {
+		return Config{}, fmt.Errorf("%w: version-2 header names %q, which is not a policy", ErrJournalModel, name)
 	}
 	return Config{
 		Net: h.Net, Nodes: h.Nodes, Seed: h.Seed, Chars: h.Chars,

@@ -390,35 +390,14 @@ func (e *Engine) NetProfitRun(iterations int, strategy Strategy, seed uint64) []
 	return series
 }
 
-// TransitivityRun is the engine counterpart of the package-level
+// TransitivityRunModel is the engine counterpart of the package-level
 // TransitivityRun, sharding the per-trustor transitivity searches — the
 // dominant cost of the §5.5 experiments — over the worker pool. Unlike the
 // mutuality and net-profit rounds, the search phase is pure, so this path
-// is bit-identical to the legacy serial implementation for every
-// Parallelism value. Each call captures a fresh frozen-epoch snapshot
-// (TransitivityEpoch); callers running several policies over unchanged
-// stores should capture one epoch and Run it repeatedly.
-func (e *Engine) TransitivityRun(setup TransitivitySetup, policy core.Policy, seed uint64) TransitivityStats {
-	return transitivityRun(e.Pop, setup, policy, seed, e.workers())
-}
-
-// TransitivityRunModel is TransitivityRun dispatching through a TrustModel:
-// policy adapters reproduce TransitivityRun byte for byte, and registered
-// non-policy models (hellinger-mf, feature-weighted, ...) run the same
-// captured-epoch sweep through their own hop evaluation.
+// is bit-identical to the serial run for every Parallelism value. Each call
+// captures a fresh frozen-epoch snapshot (TransitivityEpoch); callers
+// running several models over unchanged stores should capture one epoch
+// and Run it repeatedly.
 func (e *Engine) TransitivityRunModel(setup TransitivitySetup, m core.TrustModel, seed uint64) TransitivityStats {
-	ep := e.TransitivityEpoch(setup)
-	defer ep.Release()
-	return ep.RunModel(m, seed)
-}
-
-// transitivityRun captures a frozen epoch and plays one run on it: the
-// per-trustor task sequence is pre-drawn from the shared stream (matching
-// the legacy serial order), the searches fan out over the pool against the
-// snapshot, and counters and outcome draws merge in ascending trustor
-// order.
-func transitivityRun(p *Population, setup TransitivitySetup, policy core.Policy, seed uint64, workers int) TransitivityStats {
-	ep := newTransitivityEpoch(p, setup, workers)
-	defer ep.Release()
-	return ep.Run(policy, seed)
+	return SweepSharded(e.Pop, setup, m, seed, e.workers(), defaultSweepShard)
 }

@@ -137,10 +137,10 @@ func TestEngineTransitivityMatchesSerialPath(t *testing.T) {
 	setup := DefaultTransitivitySetup(5, r)
 	SeedExperience(p, setup, 6)
 	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		serial := TransitivityRun(p, setup, pol, 6)
+		serial := TransitivityRun(p, setup, pol.Model(), 6)
 		for _, workers := range []int{1, 4, 8} {
 			eng := &Engine{Pop: p, Parallelism: workers}
-			got := eng.TransitivityRun(setup, pol, 6)
+			got := eng.TransitivityRunModel(setup, pol.Model(), 6)
 			if !statsEqual(serial, got) {
 				t.Fatalf("%v at P=%d diverged from the serial path:\nserial: %+v\nP=%d:  %+v",
 					pol, workers, serial, workers, got)
@@ -173,9 +173,9 @@ func TestEngineParallelSpeedup(t *testing.T) {
 	SeedExperience(p, setup, 6)
 	measure := func(workers int) time.Duration {
 		eng := &Engine{Pop: p, Parallelism: workers}
-		eng.TransitivityRun(setup, core.PolicyAggressive, 1) // warm the pools
+		eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), 1) // warm the pools
 		start := time.Now()
-		eng.TransitivityRun(setup, core.PolicyAggressive, 1)
+		eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), 1)
 		return time.Since(start)
 	}
 	serial := measure(1)

@@ -16,9 +16,9 @@ import (
 // the package goes through one refcounted epoch mechanism.
 //
 // The search phase of a transitivity run is pure — no store is written — so
-// a single capture serves any number of Run calls across policies and
-// seeds, and the per-characteristic memo tables built for one policy are
-// reused by the next. The epoch goes stale as soon as the stores mutate
+// a single capture serves any number of Run calls across models and seeds,
+// and the per-characteristic memo tables built for one model are reused by
+// the next. The epoch goes stale as soon as the stores mutate
 // (a mutuality round, a seeding pass, identity churn); Reset it after any
 // such phase.
 type TransitivityEpoch struct {
@@ -32,9 +32,9 @@ type TransitivityEpoch struct {
 
 // epochArenas recycles trust-view arenas and memo tables across every
 // epoch in the process: repeated sweeps (benchmark repetitions, experiment
-// repeats, per-call Engine.TransitivityRun captures) reuse the same backing
-// memory instead of re-allocating ~2.3 MB per epoch at 1k nodes (~23 MB at
-// 10k, 10x that at 100k).
+// repeats, per-call Engine.TransitivityRunModel captures) reuse the same
+// backing memory instead of re-allocating ~2.3 MB per epoch at 1k nodes
+// (~23 MB at 10k, 10x that at 100k).
 var epochArenas = core.NewArenaPool()
 
 // TransitivityEpoch captures the engine population's stores for a sweep
@@ -97,29 +97,23 @@ type findSummary struct {
 var resultPool = sync.Pool{New: func() any { return new(core.SearchResult) }}
 
 // defaultSweepShard is the trustor-shard width of Run: large enough that
-// the per-shard Require and merge overheads vanish, small enough that the
-// per-trustor scratch alive at any instant (task slice, result summaries,
+// the per-shard RequireModel and merge overheads vanish, small enough that
+// the per-trustor scratch alive at any instant (task slice, result summaries,
 // pooled search states) stays bounded no matter how many trustors the
 // population has. At 1M nodes a monolithic sweep materializes ~400k task
 // values and summaries at once; a 32k shard keeps the working set at a few
 // MB without touching the output.
 const defaultSweepShard = 32 * 1024
 
-// Run plays one transitivity run over the frozen epoch: identical semantics
-// and bit-identical statistics to the live-store path, with hop values
-// served from the memo tables. Safe to call repeatedly (the memo fills
-// lazily per policy and task set); not safe concurrently with itself.
-func (ep *TransitivityEpoch) Run(policy core.Policy, seed uint64) TransitivityStats {
-	return ep.SweepSharded(policy, seed, defaultSweepShard)
-}
-
-// RunModel is Run dispatching through a TrustModel: the three policy
-// adapters reproduce Run byte for byte (their names equal the policy
-// strings, so even the outcome stream keys identically), and registered
-// non-policy models ride the same sharded sweep with their hop tables
-// built by RequireModel.
-func (ep *TransitivityEpoch) RunModel(m core.TrustModel, seed uint64) TransitivityStats {
-	return ep.SweepShardedModel(m, seed, defaultSweepShard)
+// Run plays one transitivity run of model m over the frozen epoch:
+// identical semantics and bit-identical statistics to the live-store path,
+// with hop values served from the memo tables. The outcome stream is keyed
+// by the model's name — for the policy adapters that name is the policy
+// string, so every golden byte is preserved; a new model gets its own
+// independent stream by construction. Safe to call repeatedly (the memo
+// fills lazily per model and task set); not safe concurrently with itself.
+func (ep *TransitivityEpoch) Run(m core.TrustModel, seed uint64) TransitivityStats {
+	return ep.SweepSharded(m, seed, defaultSweepShard)
 }
 
 // SweepSharded is Run processing the trustors in consecutive shards of the
@@ -136,16 +130,7 @@ func (ep *TransitivityEpoch) RunModel(m core.TrustModel, seed uint64) Transitivi
 // to arena fallbacks, so table timing cannot show through); and the merge
 // consumes the outcome stream in the same ascending trustor order as the
 // monolithic loop (TestSweepShardedEquivalence pins all of this).
-func (ep *TransitivityEpoch) SweepSharded(policy core.Policy, seed uint64, shard int) TransitivityStats {
-	return ep.SweepShardedModel(policy.Model(), seed, shard)
-}
-
-// SweepShardedModel is SweepSharded dispatching through a TrustModel. The
-// outcome stream is keyed by the model's name — for policy adapters that
-// name IS the historical policy string, so the pre-interface draw sequence
-// (and every golden byte) is preserved; a new model gets its own
-// independent stream by construction.
-func (ep *TransitivityEpoch) SweepShardedModel(m core.TrustModel, seed uint64, shard int) TransitivityStats {
+func (ep *TransitivityEpoch) SweepSharded(m core.TrustModel, seed uint64, shard int) TransitivityStats {
 	p := ep.p
 	if shard <= 0 {
 		shard = len(p.Trustors)
@@ -204,17 +189,11 @@ func (ep *TransitivityEpoch) SweepShardedModel(m core.TrustModel, seed uint64, s
 }
 
 // SweepSharded captures a frozen epoch over the population and plays one
-// sharded transitivity run on it — the streaming entry point for one-shot
-// sweeps at scales where per-trustor scratch must stay bounded. Equivalent
-// to TransitivityRun for every shard width.
-func SweepSharded(p *Population, setup TransitivitySetup, policy core.Policy, seed uint64, workers, shard int) TransitivityStats {
-	return SweepShardedModel(p, setup, policy.Model(), seed, workers, shard)
-}
-
-// SweepShardedModel is SweepSharded dispatching through a TrustModel: the
-// one-shot streaming entry point for any registered model.
-func SweepShardedModel(p *Population, setup TransitivitySetup, m core.TrustModel, seed uint64, workers, shard int) TransitivityStats {
+// sharded transitivity run of model m on it — the streaming entry point for
+// one-shot sweeps at scales where per-trustor scratch must stay bounded.
+// Equivalent to TransitivityRun for every shard width and worker count.
+func SweepSharded(p *Population, setup TransitivitySetup, m core.TrustModel, seed uint64, workers, shard int) TransitivityStats {
 	ep := newTransitivityEpoch(p, setup, workers)
 	defer ep.Release()
-	return ep.SweepShardedModel(m, seed, shard)
+	return ep.SweepSharded(m, seed, shard)
 }

@@ -199,9 +199,9 @@ func TestTransitivityPolicyOrdering(t *testing.T) {
 	setup := DefaultTransitivitySetup(5, r)
 	SeedExperience(p, setup, 6)
 
-	trad := TransitivityRun(p, setup, core.PolicyTraditional, 6)
-	cons := TransitivityRun(p, setup, core.PolicyConservative, 6)
-	aggr := TransitivityRun(p, setup, core.PolicyAggressive, 6)
+	trad := TransitivityRun(p, setup, core.PolicyTraditional.Model(), 6)
+	cons := TransitivityRun(p, setup, core.PolicyConservative.Model(), 6)
+	aggr := TransitivityRun(p, setup, core.PolicyAggressive.Model(), 6)
 
 	if cons.AvgPotentialTrustees() < trad.AvgPotentialTrustees() {
 		t.Fatalf("conservative found fewer trustees (%v) than traditional (%v)",

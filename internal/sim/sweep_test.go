@@ -37,10 +37,10 @@ func TestSweepShardedEquivalence(t *testing.T) {
 	}
 	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
 		// Reference: one shard, serial.
-		want := SweepSharded(p, setup, pol, 77, 1, 0)
+		want := SweepSharded(p, setup, pol.Model(), 77, 1, 0)
 		for _, shard := range []int{1, 7, 64, len(p.Trustors) + 1} {
 			for _, workers := range []int{1, 8} {
-				got := SweepSharded(p, setup, pol, 77, workers, shard)
+				got := SweepSharded(p, setup, pol.Model(), 77, workers, shard)
 				assertSameStats(t, fmt.Sprintf("%s shard=%d workers=%d", pol, shard, workers), want, got)
 			}
 		}
@@ -49,8 +49,8 @@ func TestSweepShardedEquivalence(t *testing.T) {
 		eng := NewEngine(p, "sweep-test")
 		eng.Parallelism = 4
 		ep := eng.TransitivityEpoch(setup)
-		assertSameStats(t, fmt.Sprintf("%s epoch default-shard", pol), want, ep.Run(pol, 77))
-		assertSameStats(t, fmt.Sprintf("%s epoch shard=13", pol), want, ep.SweepSharded(pol, 77, 13))
+		assertSameStats(t, fmt.Sprintf("%s epoch default-shard", pol), want, ep.Run(pol.Model(), 77))
+		assertSameStats(t, fmt.Sprintf("%s epoch shard=13", pol), want, ep.SweepSharded(pol.Model(), 77, 13))
 		ep.Release()
 	}
 }

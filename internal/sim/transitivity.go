@@ -81,7 +81,8 @@ func (s TransitivityStats) AvgPotentialTrustees() float64 {
 }
 
 // TransitivityRun has every trustor issue one random task request resolved
-// through the given trust-transfer policy. The trustor delegates to the
+// through the given trust model (one of the paper's trust-transfer
+// policies, or any registered TrustModel). The trustor delegates to the
 // candidate with the highest transferred trustworthiness; the delegation
 // succeeds with probability equal to the trustee's true task capability.
 // Only unilateral evaluation is used, matching the paper ("we only consider
@@ -89,14 +90,14 @@ func (s TransitivityStats) AvgPotentialTrustees() float64 {
 // different features").
 //
 // The per-trustor task sequence is derived from seed independently of the
-// policy, so runs with the same seed compare the three methods on the same
+// model, so runs with the same seed compare the methods on the same
 // workload, as the paper's figures do.
 //
 // TransitivityRun is the serial entry point; it shares its implementation
-// with Engine.TransitivityRun, whose worker pool produces bit-identical
-// results at any parallelism.
-func TransitivityRun(p *Population, setup TransitivitySetup, policy core.Policy, seed uint64) TransitivityStats {
-	return transitivityRun(p, setup, policy, seed, 1)
+// with Engine.TransitivityRunModel and SweepSharded, whose worker pools
+// produce bit-identical results at any parallelism.
+func TransitivityRun(p *Population, setup TransitivitySetup, m core.TrustModel, seed uint64) TransitivityStats {
+	return SweepSharded(p, setup, m, seed, 1, defaultSweepShard)
 }
 
 func clamp01(v float64) float64 {

@@ -45,29 +45,36 @@ func assertSameResult(t *testing.T, label string, want, got core.SearchResult) {
 	}
 }
 
-// TestFindViewEquivalence asserts that the frozen-epoch search — with and
-// without the edge memo — returns byte-identical SearchResults to the
-// legacy live-store path, for every policy, on randomized populations.
+// TestFindViewEquivalence asserts that the frozen-epoch search — with the
+// edge memo and without — returns byte-identical SearchResults to the
+// live-store reference search, for every policy adapter, on randomized
+// populations, both with the paper's ω = 0 and with ω gating active.
 func TestFindViewEquivalence(t *testing.T) {
 	policies := []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive}
 	for _, seed := range []uint64{1, 7, 42} {
 		for _, numChars := range []int{4, 6} {
 			p, setup := viewTestPopulation(t, seed, numChars)
-			s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
 			view := p.TrustView()
 			memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 2)
 			taskRng := rng.New(seed, "view-test-tasks")
-			for _, pol := range policies {
-				tasks := make([]task.Task, len(p.Trustors))
-				for i := range tasks {
-					tasks[i] = setup.Universe.Random(taskRng)
-				}
-				memo.Require(pol, tasks)
-				for i, x := range p.Trustors {
-					want := s.Find(x, tasks[i], pol)
-					label := fmt.Sprintf("seed=%d chars=%d policy=%s trustor=%d", seed, numChars, pol, x)
-					assertSameResult(t, label+" (memo)", want, s.FindView(view, memo, x, tasks[i], pol))
-					assertSameResult(t, label+" (no memo)", want, s.FindView(view, nil, x, tasks[i], pol))
+			for _, omega := range [][2]float64{{setup.Omega1, setup.Omega2}, {0.75, 0.8}} {
+				s := p.Searcher(setup.MaxDepth, omega[0], omega[1])
+				for _, pol := range policies {
+					m := pol.Model()
+					tasks := make([]task.Task, len(p.Trustors))
+					for i := range tasks {
+						tasks[i] = setup.Universe.Random(taskRng)
+					}
+					memo.RequireModel(m, tasks)
+					for i, x := range p.Trustors {
+						want := s.Find(x, tasks[i], pol)
+						label := fmt.Sprintf("seed=%d chars=%d ω=%v policy=%s trustor=%d", seed, numChars, omega, pol, x)
+						var got core.SearchResult
+						s.FindViewModelInto(&got, view, memo, x, tasks[i], m)
+						assertSameResult(t, label+" (memo)", want, got)
+						s.FindViewModelInto(&got, view, nil, x, tasks[i], m)
+						assertSameResult(t, label+" (no memo)", want, got)
+					}
 				}
 			}
 		}
@@ -85,8 +92,8 @@ func TestTransitivityEpochReuseMatchesFreshCapture(t *testing.T) {
 	eng := NewEngine(p, "epoch-test")
 	ep := eng.TransitivityEpoch(setup)
 	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		want := TransitivityRun(p, setup, pol, 99)
-		got := ep.Run(pol, 99)
+		want := TransitivityRun(p, setup, pol.Model(), 99)
+		got := ep.Run(pol.Model(), 99)
 		if want.Requests != got.Requests || want.Successes != got.Successes ||
 			want.Unavailable != got.Unavailable || want.PotentialTrustees != got.PotentialTrustees {
 			t.Fatalf("%s: epoch stats %+v, want %+v", pol, got, want)
@@ -99,8 +106,10 @@ func TestTransitivityEpochReuseMatchesFreshCapture(t *testing.T) {
 	}
 }
 
-// TestFindViewZeroAlloc guards the pooled dense scratch state: a warm
-// FindViewInto with a recycled result must not allocate.
+// TestFindViewZeroAlloc guards the pooled dense scratch state: for every
+// registered model, a warm FindViewModelInto with a recycled result must not
+// allocate — reading a memo table, and for a task with no table (hops from
+// the trained scorer or the model's HopTW).
 func TestFindViewZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool fakes misses under -race; allocation counts are meaningless")
@@ -108,18 +117,30 @@ func TestFindViewZeroAlloc(t *testing.T) {
 	p, setup := viewTestPopulation(t, 3, 5)
 	s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
 	view := p.TrustView()
-	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
+	norm := p.Config().Update.Norm
 	tk := setup.Universe.Tasks[0]
 	trustor := p.Trustors[0]
-	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		memo.Require(pol, []task.Task{tk})
-		var res core.SearchResult
-		s.FindViewInto(&res, view, memo, trustor, tk, pol) // warm pool and result
-		allocs := testing.AllocsPerRun(50, func() {
-			s.FindViewInto(&res, view, memo, trustor, tk, pol)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs/op after warmup, want 0", pol, allocs)
+	for _, name := range core.ModelNames() {
+		m, err := core.ParseModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabled := core.NewEdgeMemo(view, norm, 1)
+		tabled.RequireModel(m, []task.Task{tk})
+		bare := core.NewEdgeMemo(view, norm, 1)
+		bare.RequireModel(m, nil) // trains epoch-trainable models, builds no table
+		for _, memo := range []struct {
+			label string
+			memo  *core.EdgeMemo
+		}{{"table", tabled}, {"no table", bare}} {
+			var res core.SearchResult
+			s.FindViewModelInto(&res, view, memo.memo, trustor, tk, m) // warm pool and result
+			allocs := testing.AllocsPerRun(50, func() {
+				s.FindViewModelInto(&res, view, memo.memo, trustor, tk, m)
+			})
+			if allocs != 0 {
+				t.Errorf("%s (%s): %.1f allocs/op after warmup, want 0", name, memo.label, allocs)
+			}
 		}
 	}
 }

@@ -97,7 +97,7 @@ type Searcher = core.Searcher
 type SearchResult = core.SearchResult
 
 // TrustView is a frozen-epoch snapshot of per-edge trust records — the
-// lock-free read substrate of Searcher.FindView.
+// lock-free read substrate of Searcher.FindViewModelInto.
 type TrustView = core.TrustView
 
 // EdgeMemo caches per-edge hop trustworthiness over a TrustView for one
