@@ -203,8 +203,7 @@ func BenchmarkFindAggressive(b *testing.B) {
 // serve engine on the canonical 1k-node benchmark network. Read-only
 // steady state: the writer goroutine idles and every op is an epoch
 // Acquire → frozen-view answer → Release. The engine's own latency
-// histogram supplies the p50/p99 metrics mirrored into BENCH.json by
-// siot-bench's serve-query-1k workload.
+// histogram supplies the p50/p99 query-latency metrics.
 func BenchmarkServeQuery1k(b *testing.B) {
 	eng, err := serve.New(serve.Config{
 		Nodes: 1000, Seed: benchSeed, Seeded: true, Model: core.PolicyAggressive.Model(),

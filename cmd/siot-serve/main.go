@@ -21,6 +21,10 @@
 //	GET  /stats                              ingest/query/epoch/durability counters
 //	GET  /healthz                            liveness
 //
+// POST bodies are one JSON object of at most 4 KiB (413 past that);
+// unknown fields and trailing data are rejected with 400. The server bounds
+// header, request-read and idle-connection time.
+//
 // Ingest acknowledgements are durability promises: a 202 means the event's
 // journal line has been fsynced per -fsync (so "batch", the default, groups
 // events into one fsync per applied batch). When the ingest queue stays
@@ -47,6 +51,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -160,7 +165,13 @@ func main() {
 		}
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: newHandler(engine, *ingestTimeout)}
+	// WriteTimeout stays unset: with -ingest-timeout 0 an ingest handler
+	// waits on a full queue indefinitely by design, and a write deadline
+	// would cut that wait short without telling the engine.
+	srv := &http.Server{
+		Addr: *addr, Handler: newHandler(engine, *ingestTimeout),
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout,
+	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	errc := make(chan error, 1)
@@ -201,6 +212,15 @@ type trustResponse struct {
 	Direct bool    `json:"direct"`
 	Epoch  uint64  `json:"epoch"`
 }
+
+// Server input bounds. A valid ingest body is under 300 bytes, so
+// maxBodyBytes leaves ample room while refusing oversized payloads (413).
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 60 * time.Second
+	maxBodyBytes      = 4 << 10
+)
 
 // observeRequest is the POST /observe payload.
 type observeRequest struct {
@@ -263,8 +283,7 @@ func newHandler(e *serve.Engine, ingestTimeout time.Duration) http.Handler {
 	})
 	mux.HandleFunc("POST /observe", func(w http.ResponseWriter, r *http.Request) {
 		var req observeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		err := ingest(r, serve.Event{
@@ -281,8 +300,7 @@ func newHandler(e *serve.Engine, ingestTimeout time.Duration) http.Handler {
 	})
 	mux.HandleFunc("POST /recommend", func(w http.ResponseWriter, r *http.Request) {
 		var req recommendRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		err := ingest(r, serve.Event{
@@ -303,6 +321,29 @@ func newHandler(e *serve.Engine, ingestTimeout time.Duration) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// decodeBody decodes a POST body into v: at most maxBodyBytes (413 past
+// that), no unknown fields and no trailing data after the object (400).
+// It writes the error response itself and reports whether v is usable.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if err = dec.Decode(&json.RawMessage{}); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, err)
+	return false
 }
 
 // statusFor maps engine errors to HTTP statuses: a full queue is the

@@ -99,10 +99,34 @@ func TestServeHTTP(t *testing.T) {
 	}
 	postJSON(t, srv.URL+"/observe", map[string]any{"trustor": 0, "trustee": 0}, http.StatusBadRequest)
 
+	// Body bounds: oversized, unknown fields, and trailing data are refused
+	// before anything reaches the engine.
+	valid, err := json.Marshal(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"oversized", "/observe", `{"trustor":0,"pad":"` + strings.Repeat("x", 5<<10) + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversized", "/recommend", `{"trustor":0,"pad":"` + strings.Repeat("x", 5<<10) + `"}`, http.StatusRequestEntityTooLarge},
+		{"unknown field", "/observe", `{"trustor":0,"trustee":1,"type":0,"bogus":1}`, http.StatusBadRequest},
+		{"unknown field", "/recommend", `{"trustor":0,"trustee":1,"type":0,"x":0.5}`, http.StatusBadRequest},
+		{"two objects", "/observe", string(valid) + string(valid), http.StatusBadRequest},
+		{"trailing garbage", "/observe", string(valid) + "}", http.StatusBadRequest},
+	} {
+		if got := postRaw(t, srv.URL+tc.path, tc.body); got != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.name, tc.path, got, tc.want)
+		}
+	}
+	postJSON(t, srv.URL+"/observe", obs, http.StatusAccepted)
+	postJSON(t, srv.URL+"/recommend", rec, http.StatusAccepted)
+
 	var st serve.Stats
 	getJSON(t, srv.URL+"/stats", &st)
-	if st.Ingested != 2 {
-		t.Fatalf("stats ingested = %d, want 2", st.Ingested)
+	if st.Ingested != 4 {
+		t.Fatalf("stats ingested = %d, want 4", st.Ingested)
 	}
 	if st.Queries == 0 {
 		t.Fatal("stats queries = 0")
@@ -121,8 +145,8 @@ func TestServeHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay of the served journal: %v", err)
 	}
-	if rs.Events != 2 || rs.Queries == 0 {
-		t.Fatalf("replay stats %+v: want 2 events and some queries", rs)
+	if rs.Events != 4 || rs.Queries == 0 {
+		t.Fatalf("replay stats %+v: want 4 events and some queries", rs)
 	}
 
 	// The engine is closed: queries must report ErrClosed, not hang.
@@ -141,14 +165,20 @@ func postJSON(t *testing.T, url string, body any, wantStatus int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	if got := postRaw(t, url, string(b)); got != wantStatus {
+		t.Fatalf("POST %s: status %d, want %d", url, got, wantStatus)
+	}
+}
+
+// postRaw posts body verbatim and returns the response status.
+func postRaw(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("POST %s: status %d, want %d", url, resp.StatusCode, wantStatus)
-	}
+	return resp.StatusCode
 }
 
 // TestStatusFor pins the engine-error → HTTP status mapping, including the

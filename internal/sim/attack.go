@@ -91,8 +91,11 @@ func (e *Engine) attackContext(label string, round int) adversary.Context {
 // records about it (experience lives only along edges), so an EdgeIndex
 // miss contributes nothing, exactly like an empty live store. Returns the
 // mean report, or ok=false when nobody has anything to say. Reads only the
-// view: safe inside the engine's lock-free compute phase.
-func (e *Engine) recommendedTW(view *core.RoundView, ctx adversary.Context, nbrs []core.AgentID, y core.AgentID, tk task.Task) (float64, bool) {
+// view: safe inside the engine's lock-free compute phase. own is the
+// caller's single-edge lens (RoundView.BestTW for the rounds, a model's
+// EdgeMemo.ModelEdgeTW for the cross-model probe); it reads each honest
+// recommender's z→y edge exactly as the trustor reads its own.
+func (e *Engine) recommendedTW(view *core.RoundView, own func(int32) (float64, bool), ctx adversary.Context, nbrs []core.AgentID, y core.AgentID) (float64, bool) {
 	p := e.Pop
 	model := p.cfg.Attack.Model
 	var sum float64
@@ -106,7 +109,7 @@ func (e *Engine) recommendedTW(view *core.RoundView, ctx adversary.Context, nbrs
 			}
 		}
 		if edge, ok := view.EdgeIndex(z, y); ok {
-			if tw, ok := view.BestTW(edge, tk); ok {
+			if tw, ok := own(edge); ok {
 				sum += tw
 				n++
 			}
@@ -170,11 +173,12 @@ func (e *Engine) PerceivedTrust(round int, tk task.Task) (honest, attacker float
 	e.Rounds.Publish(p.RoundView(e.workers(), epochArenas))
 	ep := e.Rounds.Acquire()
 	view := ep.View()
+	own := func(edge int32) (float64, bool) { return view.BestTW(edge, tk) }
 	var honestSum, attackerSum float64
 	honestN, attackerN := 0, 0
 	for i := range p.Trustors {
 		for k, y := range e.trusteeNbrs[i] {
-			tw := e.candidateTW(view, enabled, ctx, i, e.trusteeEdges[i][k], y, tk)
+			tw := e.candidateTW(view, own, enabled, ctx, i, e.trusteeEdges[i][k], y)
 			if p.attackers[y] {
 				attackerSum += tw
 				attackerN++
@@ -229,11 +233,12 @@ func (e *Engine) PerceivedTrustModels(round int, tk task.Task, models []core.Tru
 	out := make([]Perceived, len(models))
 	for mi, m := range models {
 		memo.RequireModel(m, probe)
+		own := func(edge int32) (float64, bool) { return memo.ModelEdgeTW(m, edge, tk) }
 		var honestSum, attackerSum float64
 		honestN, attackerN := 0, 0
 		for i := range p.Trustors {
 			for k, y := range e.trusteeNbrs[i] {
-				tw := e.candidateModelTW(view, memo, m, enabled, ctx, i, e.trusteeEdges[i][k], y, tk)
+				tw := e.candidateTW(view, own, enabled, ctx, i, e.trusteeEdges[i][k], y)
 				if p.attackers[y] {
 					attackerSum += tw
 					attackerN++
@@ -254,47 +259,4 @@ func (e *Engine) PerceivedTrustModels(round int, tk task.Task, models []core.Tru
 	ep.Release()
 	e.Rounds.Retire()
 	return out
-}
-
-// candidateModelTW is candidateTW through a model's single-edge lens:
-// direct experience via ModelEdgeTW, the recommendation channel (attackers
-// forging) for strangers, the neutral prior last.
-func (e *Engine) candidateModelTW(view *core.RoundView, memo *core.EdgeMemo, m core.TrustModel, attacked bool, ctx adversary.Context, i int, edge int32, y core.AgentID, tk task.Task) float64 {
-	if tw, ok := memo.ModelEdgeTW(m, edge, tk); ok {
-		return tw
-	}
-	if attacked {
-		if rec, ok := e.recommendedModelTW(view, memo, m, ctx, e.socialNbrs[i], y, tk); ok {
-			return rec
-		}
-	}
-	return 0.5
-}
-
-// recommendedModelTW is recommendedTW with each recommender's z→y report
-// read through the model's single-edge lens instead of RoundView.BestTW.
-func (e *Engine) recommendedModelTW(view *core.RoundView, memo *core.EdgeMemo, m core.TrustModel, ctx adversary.Context, nbrs []core.AgentID, y core.AgentID, tk task.Task) (float64, bool) {
-	p := e.Pop
-	model := p.cfg.Attack.Model
-	var sum float64
-	n := 0
-	for _, z := range nbrs {
-		if p.attackers[z] {
-			if tw, forged := model.ForgeRecommendation(ctx, z, y); forged {
-				sum += tw
-				n++
-				continue
-			}
-		}
-		if edge, ok := view.EdgeIndex(z, y); ok {
-			if tw, ok := memo.ModelEdgeTW(m, edge, tk); ok {
-				sum += tw
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
 }

@@ -116,14 +116,15 @@ func (e *Engine) mutualityLabel() string {
 // way a mutuality round does: direct experience first (edge is the
 // trustor→y edge in the view), the one-hop recommendation channel (attack
 // scenarios only, with attackers forging) for strangers, the neutral prior
-// when nobody knows anything. Reads only the frozen view.
-func (e *Engine) candidateTW(view *core.RoundView, attacked bool, ctx adversary.Context, i int, edge int32, y core.AgentID, tk task.Task) float64 {
-	tw, ok := view.BestTW(edge, tk)
-	if ok {
+// when nobody knows anything. own is the single-edge lens that reads both
+// the trustor's edge and every honest recommendation (see recommendedTW).
+// Reads only the frozen view.
+func (e *Engine) candidateTW(view *core.RoundView, own func(int32) (float64, bool), attacked bool, ctx adversary.Context, i int, edge int32, y core.AgentID) float64 {
+	if tw, ok := own(edge); ok {
 		return tw
 	}
 	if attacked {
-		if rec, ok := e.recommendedTW(view, ctx, e.socialNbrs[i], y, tk); ok {
+		if rec, ok := e.recommendedTW(view, own, ctx, e.socialNbrs[i], y); ok {
 			return rec
 		}
 	}
@@ -263,10 +264,11 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 		r := rng.Split2(p.cfg.Seed, label, round, int(x))
 		trustor := p.Agent(x)
 		cands := make([]core.Candidate, 0, len(nbrs))
+		own := func(edge int32) (float64, bool) { return view.BestTW(edge, tk) }
 		for k, y := range nbrs {
 			// Strangers are judged by one-hop recommendations, which
 			// attackers may forge (candidateTW).
-			cands = append(cands, core.Candidate{ID: y, TW: e.candidateTW(view, attacked, actx, i, e.trusteeEdges[i][k], y, tk)})
+			cands = append(cands, core.Candidate{ID: y, TW: e.candidateTW(view, own, attacked, actx, i, e.trusteeEdges[i][k], y)})
 		}
 		chosen, ok := core.SelectMutual(cands, func(y core.AgentID) bool {
 			return e.acceptsDelegation(view, y, x)
